@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -155,6 +156,46 @@ func TestServiceQueryCache(t *testing.T) {
 	}
 	if n := svc.cache.entries(); n != 3 {
 		t.Fatalf("bad request was cached: %d entries", n)
+	}
+}
+
+// TestServiceCancelledRequest: a request whose client is already gone
+// runs the search path (and counts as a search) but writes nothing and
+// caches nothing, because the context error belongs to that request
+// alone; a live request for the same key then misses and serves 200.
+func TestServiceCancelledRequest(t *testing.T) {
+	svc := &service{cache: newQueryCache(cacheShards, 64)}
+	svc.gen.Store(syntheticGeneration(1, 20))
+	const target = "/search?q=alpha+shared&k=5"
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	svc.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx))
+	if rec.Body.Len() != 0 || rec.Header().Get("Content-Type") != "" {
+		t.Fatalf("cancelled request wrote a response: headers %v, body %q", rec.Header(), rec.Body.String())
+	}
+	if n := svc.cache.entries(); n != 0 {
+		t.Fatalf("cancelled request was cached: %d entries", n)
+	}
+	if n := svc.searches.Load(); n != 1 {
+		t.Fatalf("searches = %d after cancelled request, want 1", n)
+	}
+
+	rec = httptest.NewRecorder()
+	svc.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("live request: status %d, body %q", rec.Code, rec.Body.String())
+	}
+	var hits []hitJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &hits); err != nil || len(hits) != 5 {
+		t.Fatalf("live request: %d hits, %v", len(hits), err)
+	}
+	if h, m, _, _ := svc.cache.counters(); h != 0 || m != 2 {
+		t.Fatalf("hits=%d misses=%d, want 0 and 2 (the live request is a miss)", h, m)
+	}
+	if n := svc.searches.Load(); n != 2 {
+		t.Fatalf("searches = %d, want 2", n)
 	}
 }
 

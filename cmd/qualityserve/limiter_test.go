@@ -147,7 +147,7 @@ func TestLimiterRace(t *testing.T) {
 func TestServiceSheds503(t *testing.T) {
 	storePath, archiveDir := buildFixture(t)
 	svc, err := buildServiceCfg(storePath, archiveDir, "", 3, defaultQCfg(),
-		serveConfig{cacheSize: 64, shards: 2, maxInflight: 2, maxWait: 0})
+		serveConfig{cacheSize: 64, maxInflight: 2, maxWait: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +201,8 @@ func TestServiceSheds503(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats["shed"] != burst || stats["max_inflight"] != 2 || stats["inflight"] != 2 || stats["shards"] != 2 {
-		t.Fatalf("stats = %v, want shed=%d max_inflight=2 inflight=2 shards=2", stats, burst)
+	if stats["shed"] != burst || stats["max_inflight"] != 2 || stats["inflight"] != 2 {
+		t.Fatalf("stats = %v, want shed=%d max_inflight=2 inflight=2", stats, burst)
 	}
 
 	// Drain and verify no permit was lost: the service admits again.
@@ -222,14 +222,11 @@ func TestServiceSheds503(t *testing.T) {
 }
 
 // TestRunFlagValidation pins the CLI contract of the new serving flags:
-// zero or negative shard and admission values are rejected before any
+// zero or negative admission values are rejected before any
 // expensive load begins, mirroring search.Options validation.
 func TestRunFlagValidation(t *testing.T) {
 	listen := func(string, http.Handler) error { return nil }
 	for _, args := range [][]string{
-		{"-archive", "x", "-shards", "0"},
-		{"-archive", "x", "-shards", "-2"},
-		{"-archive", "x", "-shard-workers", "-1"},
 		{"-archive", "x", "-max-inflight", "0"},
 		{"-archive", "x", "-max-inflight", "-5"},
 		{"-archive", "x", "-max-wait", "-1s"},
@@ -238,22 +235,5 @@ func TestRunFlagValidation(t *testing.T) {
 		if err := run(args, &sb, listen); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
-	}
-}
-
-// TestRunShardsClamped: a shard count beyond the corpus is clamped to the
-// document count (never an error), matching the search.Options TopK
-// convention, and the banner reports the effective geometry.
-func TestRunShardsClamped(t *testing.T) {
-	storePath, archiveDir := buildFixture(t)
-	var sb strings.Builder
-	listen := func(string, http.Handler) error { return nil }
-	err := run([]string{"-store", storePath, "-archive", archiveDir,
-		"-shards", "1000000", "-max-inflight", "8"}, &sb, listen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "shards") {
-		t.Fatalf("banner missing shard count:\n%s", sb.String())
 	}
 }

@@ -10,15 +10,14 @@
 //	GET /healthz
 //
 // The query path is built for load: the index serves every request from
-// a frozen flat posting layout partitioned into -shards doc-shards
-// searched in parallel (scatter-gather with a deterministic top-k merge,
-// bitwise equal to the unsharded engine), responses are encoded through
-// pooled buffers, and a sharded LRU cache keyed on (generation, query,
-// k, rank) short-cuts repeated queries, with per-key singleflight so a
-// thundering herd on a cold key runs the search once. An admission
-// limiter (-max-inflight, -max-wait) bounds concurrent searches: on
-// saturation the excess is shed with 503 + Retry-After instead of
-// queueing without bound, so latency for admitted requests stays pinned.
+// a frozen flat posting layout through a bounded top-k heap, responses
+// are encoded through pooled buffers, and a sharded LRU cache keyed on
+// (generation, query, k, rank) short-cuts repeated queries, with per-key
+// singleflight so a thundering herd on a cold key runs the search once.
+// An admission limiter (-max-inflight, -max-wait) bounds concurrent
+// searches: on saturation the excess is shed with 503 + Retry-After
+// instead of queueing without bound, so latency for admitted requests
+// stays pinned.
 //
 // The serving state — index, score vectors, URL table — lives in an
 // immutable generation behind an atomic pointer. /refresh (and the
@@ -93,19 +92,17 @@ func newServer(addr string, h http.Handler) *http.Server {
 func run(args []string, out io.Writer, listen func(string, http.Handler) error) error {
 	fs := flag.NewFlagSet("qualityserve", flag.ContinueOnError)
 	var (
-		store        = fs.String("store", "web.pqs", "snapshot store with the crawl series")
-		archive      = fs.String("archive", "", "pagestore directory with archived page bodies")
-		label        = fs.String("label", "", "archive label of the crawl to index (default: last estimation snapshot)")
-		snapsN       = fs.Int("snaps", 3, "number of leading snapshots used for quality estimation")
-		c            = fs.Float64("c", 1.0, "estimator constant C")
-		cap_         = fs.Float64("maxtrend", 0.3, "trend cap")
-		addr         = fs.String("addr", "127.0.0.1:8088", "listen address")
-		cacheSize    = fs.Int("cachesize", 4096, "query cache capacity in entries (0 disables caching)")
-		refresh      = fs.Duration("refresh-interval", 0, "rebuild the index from the store at this interval (0 disables; /refresh always works)")
-		shards       = fs.Int("shards", 1, "doc-shards the index is partitioned into (clamped to the document count)")
-		shardWorkers = fs.Int("shard-workers", 0, "worker pool searching the shards (0 = GOMAXPROCS)")
-		maxInflight  = fs.Int("max-inflight", 256, "admission limit on concurrent searches; excess is shed with 503")
-		maxWait      = fs.Duration("max-wait", 5*time.Millisecond, "how long a request may wait for an admission slot before being shed")
+		store       = fs.String("store", "web.pqs", "snapshot store with the crawl series")
+		archive     = fs.String("archive", "", "pagestore directory with archived page bodies")
+		label       = fs.String("label", "", "archive label of the crawl to index (default: last estimation snapshot)")
+		snapsN      = fs.Int("snaps", 3, "number of leading snapshots used for quality estimation")
+		c           = fs.Float64("c", 1.0, "estimator constant C")
+		cap_        = fs.Float64("maxtrend", 0.3, "trend cap")
+		addr        = fs.String("addr", "127.0.0.1:8088", "listen address")
+		cacheSize   = fs.Int("cachesize", 4096, "query cache capacity in entries (0 disables caching)")
+		refresh     = fs.Duration("refresh-interval", 0, "rebuild the index from the store at this interval (0 disables; /refresh always works)")
+		maxInflight = fs.Int("max-inflight", 256, "admission limit on concurrent searches; excess is shed with 503")
+		maxWait     = fs.Duration("max-wait", 5*time.Millisecond, "how long a request may wait for an admission slot before being shed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -119,12 +116,6 @@ func run(args []string, out io.Writer, listen func(string, http.Handler) error) 
 	if *refresh < 0 {
 		return fmt.Errorf("-refresh-interval must be >= 0, got %v", *refresh)
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
-	}
-	if *shardWorkers < 0 {
-		return fmt.Errorf("-shard-workers must be >= 0, got %d", *shardWorkers)
-	}
 	if *maxInflight < 1 {
 		return fmt.Errorf("-max-inflight must be >= 1, got %d", *maxInflight)
 	}
@@ -134,11 +125,9 @@ func run(args []string, out io.Writer, listen func(string, http.Handler) error) 
 	svc, err := buildServiceCfg(*store, *archive, *label, *snapsN, quality.Config{
 		C: *c, MinChangeFrac: 0.05, ApplyTrendToDecreasing: true, MaxTrend: *cap_,
 	}, serveConfig{
-		cacheSize:    *cacheSize,
-		shards:       *shards,
-		shardWorkers: *shardWorkers,
-		maxInflight:  *maxInflight,
-		maxWait:      *maxWait,
+		cacheSize:   *cacheSize,
+		maxInflight: *maxInflight,
+		maxWait:     *maxWait,
 	})
 	if err != nil {
 		return err
@@ -149,8 +138,8 @@ func run(args []string, out io.Writer, listen func(string, http.Handler) error) 
 		go svc.refreshLoop(*refresh, stop, out)
 	}
 	g := svc.gen.Load()
-	fmt.Fprintf(out, "indexed %d documents (%d common pages, %d shards) — serving on http://%s/\n",
-		g.ix.NumDocs(), len(g.urls), g.sx.NumShards(), *addr)
+	fmt.Fprintf(out, "indexed %d documents (%d common pages) — serving on http://%s/\n",
+		g.ix.NumDocs(), len(g.urls), *addr)
 	return listen(*addr, svc)
 }
 
@@ -162,20 +151,17 @@ func run(args []string, out io.Writer, listen func(string, http.Handler) error) 
 type generation struct {
 	id   uint64
 	ix   *search.Index
-	sx   *search.ShardedIndex // scatter-gather view of ix; searches go here
-	urls []string             // doc id -> canonical URL
+	urls []string // doc id -> canonical URL
 	qual []float64
 	pr   []float64
 }
 
-// serveConfig bundles the serving knobs of a service: cache capacity,
-// index sharding geometry and the admission limit.
+// serveConfig bundles the serving knobs of a service: cache capacity
+// and the admission limit.
 type serveConfig struct {
-	cacheSize    int
-	shards       int           // doc-shard count (>= 1)
-	shardWorkers int           // fan-out pool (0 = GOMAXPROCS)
-	maxInflight  int           // admission limit (< 1 = unlimited)
-	maxWait      time.Duration // bounded wait for an admission slot
+	cacheSize   int
+	maxInflight int           // admission limit (< 1 = unlimited)
+	maxWait     time.Duration // bounded wait for an admission slot
 }
 
 // service routes requests against the current generation and owns the
@@ -199,8 +185,6 @@ type service struct {
 	label      string
 	snapsN     int
 	qcfg       quality.Config
-	shards     int
-	shardWk    int
 
 	// refreshMu serialises rebuilds (a rebuild is expensive; overlapping
 	// ones would waste work and could swap in out of order). Readers never
@@ -210,11 +194,11 @@ type service struct {
 
 // buildService loads the series, estimates quality, and indexes the
 // archived bodies of the chosen crawl as generation 1. cacheSize bounds
-// the query cache (0 disables it). Sharding stays at 1 and admission
-// unlimited — the historical behaviour most tests want; run() goes
-// through buildServiceCfg.
+// the query cache (0 disables it). Admission stays unlimited — the
+// historical behaviour most tests want; run() goes through
+// buildServiceCfg.
 func buildService(storePath, archiveDir, label string, snapsN int, qcfg quality.Config, cacheSize int) (*service, error) {
-	return buildServiceCfg(storePath, archiveDir, label, snapsN, qcfg, serveConfig{cacheSize: cacheSize, shards: 1})
+	return buildServiceCfg(storePath, archiveDir, label, snapsN, qcfg, serveConfig{cacheSize: cacheSize})
 }
 
 // buildServiceCfg is buildService with the full serving configuration.
@@ -227,8 +211,6 @@ func buildServiceCfg(storePath, archiveDir, label string, snapsN int, qcfg quali
 		label:      label,
 		snapsN:     snapsN,
 		qcfg:       qcfg,
-		shards:     cfg.shards,
-		shardWk:    cfg.shardWorkers,
 	}
 	g, err := svc.loadGeneration(1)
 	if err != nil {
@@ -323,13 +305,8 @@ func (s *service) loadGeneration(id uint64) (*generation, error) {
 		return nil, fmt.Errorf("qualityserve: no indexable documents matched the common pages")
 	}
 	// Freeze now, once, so no reader ever pays (or races on) the lazy
-	// posting-layout build after the swap; the shard partition rides on
-	// the same frozen layout (Shard clamps s.shards to the doc count).
+	// posting-layout build after the swap.
 	g.ix.Freeze()
-	g.sx, err = g.ix.Shard(s.shards, s.shardWk)
-	if err != nil {
-		return nil, err
-	}
 	return g, nil
 }
 
@@ -402,7 +379,6 @@ func (s *service) serveStats(w http.ResponseWriter) {
 		"generation":      g.id,
 		"documents":       g.ix.NumDocs(),
 		"terms":           g.ix.NumTerms(),
-		"shards":          g.sx.NumShards(),
 		"searches":        s.searches.Load(),
 		"max_inflight":    s.lim.limit(),
 		"inflight":        s.lim.inflight(),
@@ -483,9 +459,9 @@ func (s *service) serveSearch(w http.ResponseWriter, r *http.Request) {
 	key := queryKey{gen: g.id, q: q, k: k, rank: rank}
 	compute := func() ([]byte, error) {
 		s.searches.Add(1)
-		// The request context flows through the shard fan-out, so a client
-		// that disconnects mid-query cancels its in-flight shard work.
-		hits, err := g.sx.SearchContext(r.Context(), q, opts)
+		// A client that hung up before its search started costs no
+		// kernel run.
+		hits, err := g.ix.SearchContext(r.Context(), q, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -246,11 +246,6 @@ func syntheticGeneration(id uint64, docs int) *generation {
 		g.pr = append(g.pr, float64(id)+float64(i)/1e6)
 	}
 	g.ix.Freeze()
-	sx, err := g.ix.Shard(4, 2)
-	if err != nil {
-		panic(err)
-	}
-	g.sx = sx
 	return g
 }
 

@@ -14,9 +14,8 @@
 //     nothing, so for any pure mapper the output is bitwise identical at
 //     every worker count.
 //
-// The verbs on top (Extract, Query, Score, TopN) additionally sort their
-// final output by key (or by a total-order score comparator), which
-// makes them independent of the physical segment layout too: compaction
+// The verbs on top (Extract, Query, Score) additionally sort their
+// final output by key, which makes them independent of the physical segment layout too: compaction
 // may rehome every record without changing a verb's result.
 package corpus
 

@@ -211,45 +211,6 @@ func TestQueryMatchesFilterWalk(t *testing.T) {
 	}
 }
 
-// TestTopNMatchesFullSort: the bounded-heap merge equals scoring every
-// document, sorting under the total order and truncating — at every
-// worker count and at boundary sizes.
-func TestTopNMatchesFullSort(t *testing.T) {
-	s, want := buildStore(t, false)
-	sc, err := Score(s, docScore, nil, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := make([]Scored, len(sc.Keys))
-	for i := range sc.Keys {
-		oracle[i] = Scored{Key: sc.Keys[i], Score: sc.Values[i]}
-	}
-	sort.Slice(oracle, func(a, b int) bool { return ranksAfter(oracle[b], oracle[a]) })
-	for _, n := range []int{1, 3, 10, len(want), len(want) + 5} {
-		for _, workers := range []int{1, 2, 0} {
-			got, err := TopN(s, n, docScore, Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			exp := oracle
-			if len(exp) > n {
-				exp = exp[:n]
-			}
-			if len(got) != len(exp) {
-				t.Fatalf("n=%d workers=%d: %d results, want %d", n, workers, len(got), len(exp))
-			}
-			for i := range exp {
-				if got[i].Key != exp[i].Key || math.Float64bits(got[i].Score) != math.Float64bits(exp[i].Score) {
-					t.Fatalf("n=%d workers=%d: rank %d = %+v, want %+v", n, workers, i, got[i], exp[i])
-				}
-			}
-		}
-	}
-	if res, err := TopN(s, 0, docScore, Options{}); err != nil || res != nil {
-		t.Fatalf("TopN(0) = %v, %v", res, err)
-	}
-}
-
 // TestMapSegmentPartition: every live doc reaches exactly one mapper
 // call, in offset order, and results fold in segment order.
 func TestMapSegmentPartition(t *testing.T) {

@@ -6,10 +6,10 @@ import (
 	"pagequality/internal/pagestore"
 )
 
-// The verb layer: four structured queries built on Map. All of them
-// return key-sorted (or total-order-scored) results, so their output is
-// a pure function of the live document set — independent of worker
-// count and of the physical segment layout.
+// The verb layer: three structured queries built on Map. All of them
+// return key-sorted results, so their output is a pure function of the
+// live document set — independent of worker count and of the physical
+// segment layout.
 
 // keyed carries a per-document projection with the key that orders it.
 type keyed[R any] struct {
@@ -120,95 +120,4 @@ func Score(st *pagestore.Store, score func(Doc) float64, keep func(Doc) bool, op
 		sc.Total += part
 	}
 	return sc, nil
-}
-
-// Scored is one TopN result.
-type Scored struct {
-	Key   string
-	Score float64
-}
-
-// ranksAfter reports whether a ranks strictly after b: lower score, or
-// equal score and lexicographically later key. Keys are unique, so this
-// is a total order; two strict comparisons express the exact tie-break
-// without a float equality test.
-func ranksAfter(a, b Scored) bool {
-	if a.Score < b.Score {
-		return true
-	}
-	if b.Score < a.Score {
-		return false
-	}
-	return a.Key > b.Key
-}
-
-// topHeap is a bounded min-heap under ranksAfter: the root is the worst
-// retained candidate, so a full heap rejects losers with one comparison.
-type topHeap struct {
-	n    int
-	hits []Scored
-}
-
-func (t *topHeap) offer(h Scored) {
-	if len(t.hits) < t.n {
-		t.hits = append(t.hits, h)
-		i := len(t.hits) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !ranksAfter(t.hits[i], t.hits[p]) {
-				break
-			}
-			t.hits[i], t.hits[p] = t.hits[p], t.hits[i]
-			i = p
-		}
-		return
-	}
-	if !ranksAfter(t.hits[0], h) {
-		return
-	}
-	t.hits[0] = h
-	i, n := 0, len(t.hits)
-	for {
-		worst := i
-		if l := 2*i + 1; l < n && ranksAfter(t.hits[l], t.hits[worst]) {
-			worst = l
-		}
-		if r := 2*i + 2; r < n && ranksAfter(t.hits[r], t.hits[worst]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		t.hits[i], t.hits[worst] = t.hits[worst], t.hits[i]
-		i = worst
-	}
-}
-
-// TopN returns the n best-scoring live documents — score descending,
-// ties broken by key ascending. Each segment keeps a bounded heap of n
-// candidates; the per-segment winners are merged under the same total
-// order, so the result equals scoring every document and truncating.
-func TopN(st *pagestore.Store, n int, score func(Doc) float64, opts Options) ([]Scored, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	parts, err := Map(st, func(_ int, docs []Doc) ([]Scored, error) {
-		h := &topHeap{n: n}
-		for _, d := range docs {
-			h.offer(Scored{Key: d.Key, Score: score(d)})
-		}
-		return h.hits, nil
-	}, opts)
-	if err != nil {
-		return nil, err
-	}
-	var all []Scored
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	sort.Slice(all, func(a, b int) bool { return ranksAfter(all[b], all[a]) })
-	if len(all) > n {
-		all = all[:n]
-	}
-	return all, nil
 }

@@ -16,6 +16,7 @@
 package search
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -222,6 +223,18 @@ func (ix *Index) Search(query string, opts Options) ([]Hit, error) {
 	return blendAndSelect(docs, sc.score, opts), nil
 }
 
+// SearchContext is Search behind a cancellation check: a context that is
+// already done (a client that hung up, a server shutting down) returns
+// ctx.Err() without touching the index. The kernel itself is not
+// interruptible; one query over this repo's corpora takes tens of
+// microseconds.
+func (ix *Index) SearchContext(ctx context.Context, query string, opts Options) ([]Hit, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return ix.Search(query, opts)
+}
+
 // blendAndSelect normalises the relevance scores, blends in the
 // authority signal, and selects the top k hits. The max-reductions are
 // order-independent and the per-doc blend uses exactly the expressions
@@ -244,31 +257,23 @@ func blendAndSelect(docs []int32, rel []float64, opts Options) []Hit {
 	}
 	top := newTopK(opts.TopK)
 	for _, d := range docs {
-		top.offer(blendHit(int(d), rel[d], maxRel, maxAuth, opts))
+		h := Hit{Doc: int(d), Relevance: rel[d]}
+		relNorm := 0.0
+		if maxRel > 0 {
+			relNorm = rel[d] / maxRel
+		}
+		if opts.Authority != nil {
+			authNorm := 0.0
+			if maxAuth > 0 {
+				authNorm = opts.Authority[d] / maxAuth
+			}
+			h.Score = (1-opts.AuthorityWeight)*relNorm + opts.AuthorityWeight*authNorm
+		} else {
+			h.Score = relNorm
+		}
+		top.offer(h)
 	}
 	return top.ranked()
-}
-
-// blendHit builds the final hit for one document from its relevance and
-// the corpus-global maxima. The unsharded and sharded paths both rank
-// through this single function, so their per-doc floats cannot diverge:
-// the expressions are exactly the historical scorer's.
-func blendHit(doc int, rel, maxRel, maxAuth float64, opts Options) Hit {
-	h := Hit{Doc: doc, Relevance: rel}
-	relNorm := 0.0
-	if maxRel > 0 {
-		relNorm = rel / maxRel
-	}
-	if opts.Authority != nil {
-		authNorm := 0.0
-		if maxAuth > 0 {
-			authNorm = opts.Authority[doc] / maxAuth
-		}
-		h.Score = (1-opts.AuthorityWeight)*relNorm + opts.AuthorityWeight*authNorm
-	} else {
-		h.Score = relNorm
-	}
-	return h
 }
 
 // queryCounts tallies term frequencies of a tokenized query.

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"context"
+	"errors"
 	"math"
 	"runtime"
 	"sync"
@@ -77,5 +79,48 @@ func TestConcurrentSearch(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestSearchContextCancel pins the serving path's cancellation contract:
+// a context that is already done returns context.Canceled without a
+// search, and a live context returns exactly Search's hits, bit for bit,
+// in every retrieval mode.
+func TestSearchContextCancel(t *testing.T) {
+	docs := synthDocs(64)
+	ix := buildIndex(docs)
+	auth := make([]float64, len(docs))
+	for i := range auth {
+		auth[i] = 1 / float64(i%13+1)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ix.SearchContext(cancelled, "shared common", Options{TopK: 5}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled search returned %v, want context.Canceled", err)
+	}
+	const query = "shared common term3 term8"
+	for _, opts := range []Options{
+		{Mode: ModeVector, TopK: 20},
+		{Mode: ModeBM25, TopK: 10, Authority: auth},
+		{Mode: ModeBooleanOr, TopK: 15, Authority: auth, AuthorityWeight: 0.3},
+	} {
+		want, err := ix.Search(query, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ix.SearchContext(context.Background(), query, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 || len(got) != len(want) {
+			t.Fatalf("mode %d: %d hits, want %d (nonzero)", opts.Mode, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Doc != want[i].Doc ||
+				math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) ||
+				math.Float64bits(got[i].Relevance) != math.Float64bits(want[i].Relevance) {
+				t.Fatalf("mode %d: hit %d = %+v, want %+v", opts.Mode, i, got[i], want[i])
+			}
+		}
 	}
 }
